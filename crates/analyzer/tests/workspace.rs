@@ -1,7 +1,8 @@
 //! The analyzer run on its own workspace: the repo must be clean under
 //! the checked-in baseline, and the contracts the serving stack claims
-//! in its comments — hot-path telemetry push, hot-path lane pop — must
-//! actually carry the annotations the analyzer verifies.
+//! in its comments — hot-path telemetry push, hot-path lane pop,
+//! allocation-free inference kernels — must actually carry the
+//! annotations the analyzer verifies.
 
 use edgebert_analyzer::{analyze, baseline, collect_workspace_files, workspace_root};
 use std::path::Path;
@@ -62,6 +63,38 @@ fn telemetry_push_and_lane_pop_paths_are_declared_hot() {
         "Lane::pop_work",
         "Lane::best",
         "Lane::finish_pop",
+    ] {
+        assert!(
+            hot.contains(&expected),
+            "{expected} lost its hot-path annotation (have: {hot:?})"
+        );
+    }
+}
+
+#[test]
+fn inference_kernels_are_declared_hot() {
+    let report = workspace_report();
+    let hot: Vec<&str> = report
+        .hot_path_fns
+        .iter()
+        .map(|(_, q)| q.as_str())
+        .collect();
+    for expected in [
+        // Encoder layer, bottom up.
+        "Linear::infer_rows",
+        "affine_block",
+        "LayerNorm::infer_rows",
+        "LayerNorm::normalize_row",
+        "MultiHeadAttention::infer_rows",
+        "FeedForward::infer_rows",
+        "EncoderLayer::infer_in_place",
+        // Off-ramp and the per-layer step around them.
+        "OffRamp::classify_row",
+        "AlbertModel::advance",
+        // FP8 activation quantization.
+        "Fp8Codec::encode",
+        "Fp8Codec::quantize_in_place",
+        "fake_quantize_in_place",
     ] {
         assert!(
             hot.contains(&expected),

@@ -6,11 +6,12 @@ use crate::embedding::FactorizedEmbedding;
 use crate::offramp::OffRamp;
 use edgebert_nn::encoder::EncoderCache;
 use edgebert_nn::norm::LayerNormCache;
-use edgebert_nn::{EncoderLayer, LayerNorm, Parameter};
-use edgebert_quant::tensor::fake_quantize;
+use edgebert_nn::{EncoderLayer, EncoderScratch, LayerNorm, Parameter};
+use edgebert_quant::tensor::{fake_quantize, fake_quantize_in_place};
 use edgebert_tasks::{Dataset, VocabLayout};
-use edgebert_tensor::{Matrix, Rng};
+use edgebert_tensor::{entropy, Matrix, Rng};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Output of a full (no-early-exit) forward pass.
 #[derive(Debug, Clone)]
@@ -99,6 +100,28 @@ impl ForwardSession {
     }
 }
 
+/// Per-thread buffers of the inference kernels. Sessions carry only
+/// their hidden state and off-ramp outputs; everything a layer needs in
+/// between lives here, fitted to the model's `max_seq_len` on first use
+/// and reused by every later call on the thread.
+struct InferScratch {
+    layer: EncoderScratch,
+    /// Embedding table-plus-position sums, `seq_len x E`.
+    low: Vec<f32>,
+    /// The normalized `[CLS]` row the off-ramp reads.
+    cls: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<InferScratch> = const {
+        RefCell::new(InferScratch {
+            layer: EncoderScratch::new(),
+            low: Vec::new(),
+            cls: Vec::new(),
+        })
+    };
+}
+
 /// Training-time forward cache (one per sentence).
 #[derive(Debug)]
 pub struct TrainCache {
@@ -175,27 +198,82 @@ impl AlbertModel {
         self.config.num_layers
     }
 
-    fn maybe_quantize(&self, m: Matrix) -> Matrix {
-        match self.activation_fp8 {
-            Some(bits) => fake_quantize(&m, bits),
-            None => m,
+    /// Runs `f` with this thread's inference scratch, fitted to `rows`
+    /// rows (at least the model's `max_seq_len`, so it stops growing
+    /// after the first call).
+    fn with_scratch<R>(&self, rows: usize, f: impl FnOnce(&mut InferScratch) -> R) -> R {
+        SCRATCH.with(|cell| {
+            let mut guard = cell.borrow_mut();
+            let s = &mut *guard;
+            let rows = rows.max(self.config.max_seq_len);
+            s.layer.fit(&self.encoder, rows);
+            let low = s.low.len().max(rows * self.config.embedding_size);
+            s.low.resize(low, 0.0);
+            let cls = s.cls.len().max(self.config.hidden_size);
+            s.cls.resize(cls, 0.0);
+            f(s)
+        })
+    }
+
+    /// FP8 fake-quantizes activations in place when enabled.
+    fn maybe_quantize(&self, values: &mut [f32]) {
+        if let Some(bits) = self.activation_fp8 {
+            fake_quantize_in_place(values, bits);
         }
+    }
+
+    /// The (optionally quantized) embedding of `tokens`: the state
+    /// entering layer 1.
+    fn embed_state(&self, tokens: &[u32]) -> Matrix {
+        let mut hidden = Matrix::zeros(tokens.len(), self.config.hidden_size);
+        self.with_scratch(tokens.len(), |s| {
+            self.embedding
+                .embed_into(tokens, &mut s.low, hidden.as_mut_slice())
+        });
+        self.maybe_quantize(hidden.as_mut_slice());
+        hidden
+    }
+
+    /// One logical layer on `hidden` in place (encoder, then activation
+    /// quantization), then off-ramp `layer` on the normalized `[CLS]`
+    /// row into `logits`. Returns the off-ramp entropy.
+    // analyzer: hot-path
+    fn advance(
+        &self,
+        layer: usize,
+        hidden: &mut Matrix,
+        s: &mut InferScratch,
+        logits: &mut [f32],
+    ) -> f32 {
+        self.encoder
+            .infer_in_place(hidden.as_mut_slice(), &mut s.layer);
+        self.maybe_quantize(hidden.as_mut_slice());
+        self.final_norm.normalize_row(hidden.row(0), &mut s.cls);
+        self.off_ramps[layer].classify_row(&s.cls, logits);
+        entropy(logits)
     }
 
     /// Full forward pass computing every layer and every off-ramp.
     pub fn forward_layers(&self, tokens: &[u32]) -> LayerwiseOutput {
-        let mut hidden = self.maybe_quantize(self.embedding.embed(tokens));
+        let mut hidden = self.embed_state(tokens);
         let mut hidden_states = Vec::with_capacity(self.num_layers());
         let mut logits = Vec::with_capacity(self.num_layers());
         let mut entropies = Vec::with_capacity(self.num_layers());
-        for l in 0..self.num_layers() {
-            hidden = self.maybe_quantize(self.encoder.infer(&hidden));
-            let normed = self.final_norm.infer(&hidden);
-            let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
-            hidden_states.push(normed);
-            logits.push(lg);
-            entropies.push(h);
-        }
+        self.with_scratch(hidden.rows(), |s| {
+            for ramp in &self.off_ramps {
+                self.encoder
+                    .infer_in_place(hidden.as_mut_slice(), &mut s.layer);
+                self.maybe_quantize(hidden.as_mut_slice());
+                let mut normed = Matrix::zeros(hidden.rows(), hidden.cols());
+                self.final_norm
+                    .infer_rows(hidden.as_slice(), normed.as_mut_slice());
+                let mut lg = vec![0.0; ramp.num_classes()];
+                ramp.classify_row(normed.row(0), &mut lg);
+                entropies.push(entropy(&lg));
+                hidden_states.push(normed);
+                logits.push(lg);
+            }
+        });
         LayerwiseOutput {
             hidden_states,
             logits,
@@ -209,9 +287,9 @@ impl AlbertModel {
     /// advances one encoder layer. See [`ForwardSession`].
     pub fn begin_forward(&self, tokens: &[u32]) -> ForwardSession {
         ForwardSession {
-            hidden: self.maybe_quantize(self.embedding.embed(tokens)),
-            logits: Vec::new(),
-            entropies: Vec::new(),
+            hidden: self.embed_state(tokens),
+            logits: Vec::with_capacity(self.num_layers()),
+            entropies: Vec::with_capacity(self.num_layers()),
         }
     }
 
@@ -219,6 +297,10 @@ impl AlbertModel {
     /// sequence as one iteration of [`forward_layers`](Self::forward_layers))
     /// and returns the 1-based layer just completed with its off-ramp
     /// entropy.
+    ///
+    /// The layer runs in place on the session's hidden state with this
+    /// thread's scratch; the only allocation is the logits row the
+    /// session keeps.
     ///
     /// # Panics
     ///
@@ -230,10 +312,11 @@ impl AlbertModel {
             "forward session already ran all {} layers",
             self.num_layers()
         );
-        session.hidden = self.maybe_quantize(self.encoder.infer(&session.hidden));
-        let normed = self.final_norm.infer(&session.hidden);
-        let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
-        session.logits.push(lg);
+        let mut logits = vec![0.0; self.off_ramps[l].num_classes()];
+        let h = self.with_scratch(session.hidden.rows(), |s| {
+            self.advance(l, &mut session.hidden, s, &mut logits)
+        });
+        session.logits.push(logits);
         session.entropies.push(h);
         (l + 1, h)
     }
@@ -246,18 +329,20 @@ impl AlbertModel {
         tokens: &[u32],
         entropy_threshold: f32,
     ) -> (usize, Vec<f32>, Vec<f32>) {
-        let mut hidden = self.maybe_quantize(self.embedding.embed(tokens));
-        let mut entropies = Vec::new();
-        for l in 0..self.num_layers() {
-            hidden = self.maybe_quantize(self.encoder.infer(&hidden));
-            let normed = self.final_norm.infer(&hidden);
-            let (lg, h) = self.off_ramps[l].classify_with_entropy(&normed);
-            entropies.push(h);
-            if h < entropy_threshold || l + 1 == self.num_layers() {
-                return (l + 1, lg, entropies);
+        let mut hidden = self.embed_state(tokens);
+        let mut entropies = Vec::with_capacity(self.num_layers());
+        let mut logits = vec![0.0; self.config.num_classes];
+        let exit = self.with_scratch(hidden.rows(), |s| {
+            for l in 0..self.num_layers() {
+                let h = self.advance(l, &mut hidden, s, &mut logits);
+                entropies.push(h);
+                if h < entropy_threshold {
+                    return l + 1;
+                }
             }
-        }
-        unreachable!("loop always returns at the final layer");
+            self.num_layers()
+        });
+        (exit, logits, entropies)
     }
 
     /// Training forward pass (keeps every cache for the backward pass).

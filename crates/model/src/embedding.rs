@@ -122,13 +122,28 @@ impl FactorizedEmbedding {
     /// Panics if any token id is out of range or the sequence exceeds the
     /// position table.
     pub fn embed(&self, tokens: &[u32]) -> Matrix {
+        let mut low = vec![0.0; tokens.len() * self.table.value.cols()];
+        let mut hidden = Matrix::zeros(tokens.len(), self.projection.out_features());
+        self.embed_into(tokens, &mut low, hidden.as_mut_slice());
+        hidden
+    }
+
+    /// [`embed`](Self::embed) into caller buffers: `low` receives the
+    /// `seq_len x E` table-plus-position sums (at least that long) and
+    /// `hidden` the `seq_len x H` projection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any token id is out of range or the sequence exceeds the
+    /// position table.
+    pub fn embed_into(&self, tokens: &[u32], low: &mut [f32], hidden: &mut [f32]) {
         assert!(
             tokens.len() <= self.positions.value.rows(),
             "sequence longer than position table"
         );
         let e = self.table.value.cols();
-        let mut low = Matrix::zeros(tokens.len(), e);
-        for (i, &tok) in tokens.iter().enumerate() {
+        let low = &mut low[..tokens.len() * e];
+        for (i, (&tok, out)) in tokens.iter().zip(low.chunks_exact_mut(e)).enumerate() {
             let tok = tok as usize;
             assert!(
                 tok < self.table.value.rows(),
@@ -136,11 +151,11 @@ impl FactorizedEmbedding {
             );
             let row = self.table.value.row(tok);
             let pos = self.positions.value.row(i);
-            for c in 0..e {
-                low.set(i, c, row[c] + pos[c]);
+            for ((o, &t), &p) in out.iter_mut().zip(row).zip(pos) {
+                *o = t + p;
             }
         }
-        self.projection.infer(&low)
+        self.projection.infer_rows(low, hidden);
     }
 
     /// Embeds and returns the low-dimensional sum too (needed by the

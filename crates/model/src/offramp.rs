@@ -6,7 +6,7 @@
 //! with the backbone frozen (Fig. 4).
 
 use edgebert_nn::{Linear, Parameter};
-use edgebert_tensor::{entropy, Matrix, Rng};
+use edgebert_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
 /// One early-exit classifier head.
@@ -32,16 +32,16 @@ impl OffRamp {
     /// Classifies the `[CLS]` hidden vector (row 0 of the layer output),
     /// returning the logits.
     pub fn classify(&self, layer_output: &Matrix) -> Vec<f32> {
-        let cls = Matrix::from_vec(1, layer_output.cols(), layer_output.row(0).to_vec());
-        self.head.infer(&cls).row(0).to_vec()
+        let mut logits = vec![0.0; self.num_classes()];
+        self.classify_row(layer_output.row(0), &mut logits);
+        logits
     }
 
-    /// Logits plus the entropy of their induced distribution — the
-    /// quantity compared against the exit threshold `E_T`.
-    pub fn classify_with_entropy(&self, layer_output: &Matrix) -> (Vec<f32>, f32) {
-        let logits = self.classify(layer_output);
-        let h = entropy(&logits);
-        (logits, h)
+    /// Inference kernel: classifies one (normalized) `[CLS]` row into
+    /// `logits`, without copying the row.
+    // analyzer: hot-path
+    pub fn classify_row(&self, cls: &[f32], logits: &mut [f32]) {
+        self.head.infer_rows(cls, logits);
     }
 
     /// Training step ingredients: forward on a batch of CLS vectors
@@ -74,6 +74,7 @@ mod tests {
     use super::*;
     use edgebert_nn::losses::cross_entropy;
     use edgebert_nn::AdamOptimizer;
+    use edgebert_tensor::entropy;
 
     #[test]
     fn classify_reads_cls_row() {
@@ -97,7 +98,7 @@ mod tests {
         let mut rng = Rng::seed_from(1);
         let ramp = OffRamp::new(8, 3, &mut rng);
         let x = rng.gaussian_matrix(4, 8, 1.0);
-        let (_, h) = ramp.classify_with_entropy(&x);
+        let h = entropy(&ramp.classify(&x));
         assert!(h >= 0.0 && h <= (3.0f32).ln() + 1e-5);
     }
 

@@ -61,6 +61,57 @@ pub struct AttentionCache {
     seq_len: usize,
 }
 
+/// Reusable buffers of [`MultiHeadAttention::infer_rows`]. They only
+/// grow, so a scratch fitted once to the longest sequence serves every
+/// later call without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct AttentionScratch {
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    /// One head's keys, transposed: `head_dim x seq_len`.
+    kt: Vec<f32>,
+    /// One query's row of scores, then probabilities.
+    scores: Vec<f32>,
+    /// One head's span mask by token distance.
+    profile: Vec<f32>,
+    /// Per-head contexts side by side, `seq_len x hidden`.
+    concat: Vec<f32>,
+}
+
+impl AttentionScratch {
+    /// An empty scratch; [`fit`](Self::fit) it before use.
+    pub const fn new() -> Self {
+        Self {
+            q: Vec::new(),
+            k: Vec::new(),
+            v: Vec::new(),
+            kt: Vec::new(),
+            scores: Vec::new(),
+            profile: Vec::new(),
+            concat: Vec::new(),
+        }
+    }
+
+    /// Grows the buffers to hold `rows` rows of `attention`.
+    pub fn fit(&mut self, attention: &MultiHeadAttention, rows: usize) {
+        let n = rows * attention.hidden();
+        for buf in [&mut self.q, &mut self.k, &mut self.v, &mut self.concat] {
+            grow(buf, n);
+        }
+        grow(&mut self.kt, rows * attention.head_dim());
+        grow(&mut self.scores, rows);
+        grow(&mut self.profile, rows);
+    }
+}
+
+/// Lengthens `buf` to at least `len` (zero-filled); never shrinks.
+pub(crate) fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
 impl MultiHeadAttention {
     /// Creates an attention block with `num_heads` heads over a `hidden`
     /// wide stream. Spans are initialised to `max_span` (fully open) so
@@ -166,9 +217,91 @@ impl MultiHeadAttention {
         )
     }
 
-    /// Inference-only forward (drops the cache).
+    /// Inference-only forward: a wrapper over
+    /// [`MultiHeadAttention::infer_rows`] with its own scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != hidden`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.forward(x).0
+        assert_eq!(x.cols(), self.hidden(), "attention width mismatch");
+        let mut scratch = AttentionScratch::new();
+        scratch.fit(self, x.rows());
+        let mut out = Matrix::zeros(x.rows(), self.hidden());
+        self.infer_rows(x.as_slice(), out.as_mut_slice(), &mut scratch);
+        out
+    }
+
+    /// Inference kernel over a row-major `seq_len x hidden` input,
+    /// writing the output projection into `out`. `scratch` must have
+    /// been [fitted](AttentionScratch::fit) to at least `seq_len` rows.
+    ///
+    /// Bit-identical to [`MultiHeadAttention::forward`], without its
+    /// copies: each head's Q/K/V columns are read in place, K is
+    /// transposed per head so a row of scores accumulates over all keys
+    /// at once (still `0.0 + q0*k0 + q1*k1 + ...` per score, no zero
+    /// skip, as in `matmul_nt`), the span mask is applied from its 1-D
+    /// profile by `|i - j|`, and the context accumulates straight into
+    /// the concat buffer, skipping zero weights as `matmul` does.
+    // analyzer: hot-path
+    pub fn infer_rows(&self, x: &[f32], out: &mut [f32], scratch: &mut AttentionScratch) {
+        let hidden = self.hidden();
+        let hd = self.head_dim;
+        let seq = x.len() / hidden;
+        let n = seq * hidden;
+        let s = scratch;
+        self.wq.infer_rows(x, &mut s.q[..n]);
+        self.wk.infer_rows(x, &mut s.k[..n]);
+        self.wv.infer_rows(x, &mut s.v[..n]);
+        let scale = 1.0 / (hd as f32).sqrt();
+        let concat = &mut s.concat[..n];
+        concat.fill(0.0);
+        for (h, span) in self.spans.iter().enumerate() {
+            if span.is_off() {
+                // Whole head skipped: zero context.
+                continue;
+            }
+            let off = h * hd;
+            let profile = &mut s.profile[..seq];
+            for (d, m) in profile.iter_mut().enumerate() {
+                *m = span.mask_at(d);
+            }
+            let kt = &mut s.kt[..hd * seq];
+            for (j, krow) in s.k[..n].chunks_exact(hidden).enumerate() {
+                for (d, &kv) in krow[off..off + hd].iter().enumerate() {
+                    kt[d * seq + j] = kv;
+                }
+            }
+            let scores = &mut s.scores[..seq];
+            for (i, (qrow, crow)) in s.q[..n]
+                .chunks_exact(hidden)
+                .zip(concat.chunks_exact_mut(hidden))
+                .enumerate()
+            {
+                scores.fill(0.0);
+                for (&qv, ktrow) in qrow[off..off + hd].iter().zip(kt.chunks_exact(seq)) {
+                    for (sc, &kv) in scores.iter_mut().zip(ktrow) {
+                        *sc += qv * kv;
+                    }
+                }
+                for sc in scores.iter_mut() {
+                    *sc *= scale;
+                }
+                softmax_inplace(scores);
+                let ctx = &mut crow[off..off + hd];
+                for (j, (&p, vrow)) in scores.iter().zip(s.v[..n].chunks_exact(hidden)).enumerate()
+                {
+                    let a = p * profile[i.abs_diff(j)];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (c, &vv) in ctx.iter_mut().zip(&vrow[off..off + hd]) {
+                        *c += a * vv;
+                    }
+                }
+            }
+        }
+        self.wo.infer_rows(concat, out);
     }
 
     /// Backward pass; accumulates all parameter gradients (including the

@@ -1,6 +1,6 @@
 //! A full transformer encoder layer (post-norm, as in BERT/ALBERT).
 
-use crate::attention::{AttentionCache, MultiHeadAttention};
+use crate::attention::{grow, AttentionCache, AttentionScratch, MultiHeadAttention};
 use crate::ffn::{FeedForward, FeedForwardCache};
 use crate::norm::{LayerNorm, LayerNormCache};
 use crate::param::Parameter;
@@ -46,6 +46,40 @@ pub struct EncoderCache {
     n2: LayerNormCache,
 }
 
+/// Reusable buffers of [`EncoderLayer::infer_in_place`]. They only
+/// grow, so a scratch fitted once to the longest sequence serves every
+/// later call without allocating.
+#[derive(Debug, Clone, Default)]
+pub struct EncoderScratch {
+    attention: AttentionScratch,
+    /// A layer-normed copy of the state.
+    normed: Vec<f32>,
+    /// The attention, then FFN, branch output.
+    branch: Vec<f32>,
+    /// The FFN expansion, `seq_len x intermediate`.
+    ffn_hidden: Vec<f32>,
+}
+
+impl EncoderScratch {
+    /// An empty scratch; [`fit`](Self::fit) it before use.
+    pub const fn new() -> Self {
+        Self {
+            attention: AttentionScratch::new(),
+            normed: Vec::new(),
+            branch: Vec::new(),
+            ffn_hidden: Vec::new(),
+        }
+    }
+
+    /// Grows the buffers to hold `rows` rows of `layer`.
+    pub fn fit(&mut self, layer: &EncoderLayer, rows: usize) {
+        self.attention.fit(&layer.attention, rows);
+        grow(&mut self.normed, rows * layer.hidden());
+        grow(&mut self.branch, rows * layer.hidden());
+        grow(&mut self.ffn_hidden, rows * layer.ffn.fc1.out_features());
+    }
+}
+
 impl EncoderLayer {
     /// Creates an encoder layer.
     pub fn new(
@@ -79,12 +113,46 @@ impl EncoderLayer {
         (y, EncoderCache { attn, n1, ffn, n2 })
     }
 
-    /// Inference-only forward.
+    /// Inference-only forward: a copying wrapper over
+    /// [`EncoderLayer::infer_in_place`] with its own scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != hidden`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        let attn_out = self.attention.infer(&self.norm1.infer(x));
-        let a = x.add(&attn_out);
-        let ffn_out = self.ffn.infer(&self.norm2.infer(&a));
-        a.add(&ffn_out)
+        assert_eq!(x.cols(), self.hidden(), "encoder width mismatch");
+        let mut scratch = EncoderScratch::new();
+        scratch.fit(self, x.rows());
+        let mut y = x.clone();
+        self.infer_in_place(y.as_mut_slice(), &mut scratch);
+        y
+    }
+
+    /// Inference kernel: applies the layer to the row-major
+    /// `seq_len x hidden` state `x` in place. `scratch` must have been
+    /// [fitted](EncoderScratch::fit) to at least `seq_len` rows; a
+    /// fitted scratch makes the call allocation-free.
+    ///
+    /// Bit-identical to [`EncoderLayer::forward`]: each residual add is
+    /// `x + branch` element by element, as `Matrix::add` computes it.
+    // analyzer: hot-path
+    pub fn infer_in_place(&self, x: &mut [f32], scratch: &mut EncoderScratch) {
+        let n = x.len();
+        let rows = n / self.hidden();
+        let s = scratch;
+        let normed = &mut s.normed[..n];
+        let branch = &mut s.branch[..n];
+        self.norm1.infer_rows(x, normed);
+        self.attention.infer_rows(normed, branch, &mut s.attention);
+        for (a, &b) in x.iter_mut().zip(branch.iter()) {
+            *a += b;
+        }
+        self.norm2.infer_rows(x, normed);
+        let ffn_hidden = &mut s.ffn_hidden[..rows * self.ffn.fc1.out_features()];
+        self.ffn.infer_rows(normed, ffn_hidden, branch);
+        for (a, &b) in x.iter_mut().zip(branch.iter()) {
+            *a += b;
+        }
     }
 
     /// Backward pass; accumulates parameter grads and returns `dx`.

@@ -3,6 +3,7 @@
 use crate::activation::{gelu_backward, gelu_forward};
 use crate::linear::{Linear, LinearCache};
 use crate::param::Parameter;
+use edgebert_tensor::kernels::gelu;
 use edgebert_tensor::{Matrix, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -43,9 +44,26 @@ impl FeedForward {
         (y, FeedForwardCache { c1, gelu_in, c2 })
     }
 
-    /// Inference-only forward.
+    /// Inference-only forward: a copying wrapper over
+    /// [`FeedForward::infer_rows`].
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.fc2.infer(&gelu_forward(&self.fc1.infer(x)).0)
+        let mut hidden = vec![0.0; x.rows() * self.fc1.out_features()];
+        let mut out = Matrix::zeros(x.rows(), self.fc2.out_features());
+        self.infer_rows(x.as_slice(), &mut hidden, out.as_mut_slice());
+        out
+    }
+
+    /// Inference kernel over row-major rows of `x`: the expansion goes
+    /// to `hidden` (`rows x intermediate`), GELU runs there in place,
+    /// and the contraction goes to `out`. Bit-identical to
+    /// [`FeedForward::forward`].
+    // analyzer: hot-path
+    pub fn infer_rows(&self, x: &[f32], hidden: &mut [f32], out: &mut [f32]) {
+        self.fc1.infer_rows(x, hidden);
+        for v in hidden.iter_mut() {
+            *v = gelu(*v);
+        }
+        self.fc2.infer_rows(hidden, out);
     }
 
     /// Backward pass; accumulates parameter grads and returns `dx`.

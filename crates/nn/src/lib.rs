@@ -18,6 +18,11 @@
 //! * [`prune`] — magnitude and movement pruning with cubic sparsity
 //!   schedules.
 //!
+//! Every layer also has an allocation-free inference kernel
+//! (`infer_rows` / [`EncoderLayer::infer_in_place`]) over row-major
+//! slices and reusable scratch buffers, bit-identical to its training
+//! forward pass; the `infer` methods are copying wrappers over them.
+//!
 //! Everything is deterministic given a seed, and every backward pass has a
 //! finite-difference test.
 
@@ -34,8 +39,8 @@ pub mod param;
 pub mod prune;
 pub mod span;
 
-pub use attention::MultiHeadAttention;
-pub use encoder::EncoderLayer;
+pub use attention::{AttentionScratch, MultiHeadAttention};
+pub use encoder::{EncoderLayer, EncoderScratch};
 pub use ffn::FeedForward;
 pub use linear::Linear;
 pub use mlp::Mlp;

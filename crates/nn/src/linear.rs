@@ -81,10 +81,48 @@ impl Linear {
         (y, LinearCache { input: x.clone() })
     }
 
-    /// Inference-only forward pass (no cache allocation).
+    /// Inference-only forward pass: a copying wrapper over
+    /// [`Linear::infer_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != in_features`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        x.matmul(&self.weight.value)
-            .add_row_broadcast(self.bias.value.row(0))
+        assert_eq!(x.cols(), self.in_features(), "matmul shape mismatch");
+        let mut out = Matrix::zeros(x.rows(), self.out_features());
+        self.infer_rows(x.as_slice(), out.as_mut_slice());
+        out
+    }
+
+    /// Inference kernel: `out = x W + b` over the row-major rows of `x`
+    /// (`in_features` wide) into `out` (`out_features` wide).
+    ///
+    /// Bit-identical to [`Matrix::matmul`] followed by the bias add:
+    /// every output starts at `0.0`, accumulates `x[k] * W[k][j]` in
+    /// ascending `k` skipping zero `x[k]`, and adds the bias after the
+    /// sum. Columns are computed in register-sized blocks; the blocking
+    /// changes which outputs share a loop, never an output's sum.
+    // analyzer: hot-path
+    pub fn infer_rows(&self, x: &[f32], out: &mut [f32]) {
+        let (k, n) = (self.in_features(), self.out_features());
+        debug_assert_eq!(x.len() * n, out.len() * k, "row counts differ");
+        let w = self.weight.value.as_slice();
+        let bias = self.bias.value.row(0);
+        for (xr, or) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            let mut c0 = 0;
+            while c0 + 16 <= n {
+                affine_block::<16>(xr, w, n, c0, bias, or);
+                c0 += 16;
+            }
+            while c0 + 4 <= n {
+                affine_block::<4>(xr, w, n, c0, bias, or);
+                c0 += 4;
+            }
+            while c0 < n {
+                affine_block::<1>(xr, w, n, c0, bias, or);
+                c0 += 1;
+            }
+        }
     }
 
     /// Backward pass. Accumulates parameter gradients and returns `dx`.
@@ -111,6 +149,32 @@ impl Linear {
     /// Number of scalar weights (excluding bias).
     pub fn weight_count(&self) -> usize {
         self.weight.len()
+    }
+}
+
+/// Columns `c0..c0 + B` of one output row of `x W + b`, accumulated in
+/// registers. `w` is `x.len() x n`, row-major.
+// analyzer: hot-path
+#[inline(always)]
+fn affine_block<const B: usize>(
+    x: &[f32],
+    w: &[f32],
+    n: usize,
+    c0: usize,
+    bias: &[f32],
+    out: &mut [f32],
+) {
+    let mut acc = [0.0f32; B];
+    for (&a, wr) in x.iter().zip(w.chunks_exact(n)) {
+        if a == 0.0 {
+            continue;
+        }
+        for (s, &b) in acc.iter_mut().zip(&wr[c0..c0 + B]) {
+            *s += a * b;
+        }
+    }
+    for ((o, s), &b) in out[c0..c0 + B].iter_mut().zip(acc).zip(&bias[c0..c0 + B]) {
+        *o = s + b;
     }
 }
 

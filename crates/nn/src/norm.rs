@@ -85,9 +85,44 @@ impl LayerNorm {
         (out, LayerNormCache { x_hat, inv_std })
     }
 
-    /// Inference-only forward (no cache).
+    /// Inference-only forward: a copying wrapper over
+    /// [`LayerNorm::infer_rows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.cols() != features`.
     pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.forward(x).0
+        assert_eq!(x.cols(), self.features(), "layernorm width mismatch");
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        self.infer_rows(x.as_slice(), out.as_mut_slice());
+        out
+    }
+
+    /// Inference kernel: normalizes every `features`-wide row of `x`
+    /// into `out`, with no cache. Bit-identical to
+    /// [`LayerNorm::forward`].
+    // analyzer: hot-path
+    pub fn infer_rows(&self, x: &[f32], out: &mut [f32]) {
+        let n = self.features();
+        for (row, o) in x.chunks_exact(n).zip(out.chunks_exact_mut(n)) {
+            self.normalize_row(row, o);
+        }
+    }
+
+    /// Normalizes one row into `out` — the whole kernel when only one
+    /// row is read (the `[CLS]` row an off-ramp classifies). Same sums,
+    /// same order as [`LayerNorm::forward`].
+    // analyzer: hot-path
+    pub fn normalize_row(&self, row: &[f32], out: &mut [f32]) {
+        let n = row.len() as f32;
+        let mu: f32 = row.iter().sum::<f32>() / n;
+        let var: f32 = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / n;
+        let is = 1.0 / (var + self.eps).sqrt();
+        let gamma = self.gamma.value.row(0);
+        let beta = self.beta.value.row(0);
+        for (((o, &v), &g), &b) in out.iter_mut().zip(row).zip(gamma).zip(beta) {
+            *o = g * ((v - mu) * is) + b;
+        }
     }
 
     /// Backward pass; accumulates `dgamma`/`dbeta` and returns `dx`.

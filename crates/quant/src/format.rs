@@ -146,6 +146,136 @@ impl Fp8Format {
     }
 }
 
+/// Table-driven FP8 encoder/decoder for one [`Fp8Format`].
+///
+/// [`Fp8Format::encode`] is the specification; this is its fast path
+/// for whole tensors. It reads the exponent straight from the float's
+/// bits instead of calling `log2`. It decodes through a 256-entry table
+/// built with [`Fp8Format::decode`]. Every byte it produces equals
+/// `Fp8Format::encode`'s byte for the same input:
+///
+/// - The saturation limit and the subnormal step are the format's own
+///   [`Fp8Format::max_value`] and [`Fp8Format::min_subnormal`].
+/// - Normal mantissas round half away from zero on the integer bits,
+///   exactly as `round()` does on `frac * 2^M`.
+/// - When `log2` rounds an input just below a power of two up to that
+///   power, the reference carries into the next exponent. The mantissa
+///   carry here lands on the same byte.
+/// - f32 subnormal inputs, and biases so large that the exponent
+///   arithmetic could overflow, go to the reference encoder.
+///
+/// # Example
+///
+/// ```
+/// use edgebert_quant::format::{Fp8Codec, Fp8Format};
+///
+/// let fmt = Fp8Format::edgebert(7);
+/// let codec = Fp8Codec::new(fmt);
+/// for x in [0.75f32, -3.1, 1e-4, 500.0] {
+///     assert_eq!(codec.encode(x), fmt.encode(x));
+///     let q = codec.decode(codec.encode(x));
+///     assert_eq!(q.to_bits(), fmt.quantize(x).to_bits());
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fp8Codec {
+    format: Fp8Format,
+    decode: [f32; 256],
+    max_value: f32,
+    min_subnormal: f32,
+    /// The saturated magnitude byte `e_top << M | m_max`.
+    saturated: u8,
+    /// Bias outside the range where the exponent arithmetic is
+    /// overflow-free: every value takes the reference encoder.
+    reference_only: bool,
+}
+
+/// Largest `|bias|` the fast encoder handles itself.
+const FAST_BIAS_LIMIT: u32 = 1 << 16;
+
+impl Fp8Codec {
+    /// Builds the decode table and limits for `format`.
+    pub fn new(format: Fp8Format) -> Self {
+        let mut decode = [0.0f32; 256];
+        for (b, d) in decode.iter_mut().enumerate() {
+            *d = format.decode(b as u8);
+        }
+        let m_bits = format.mantissa_bits();
+        let e_top = (1u8 << format.exp_bits) - 1;
+        Self {
+            format,
+            decode,
+            max_value: format.max_value(),
+            min_subnormal: format.min_subnormal(),
+            saturated: (e_top << m_bits) | ((1u8 << m_bits) - 1),
+            reference_only: format.bias.unsigned_abs() > FAST_BIAS_LIMIT,
+        }
+    }
+
+    /// The format this codec encodes.
+    pub fn format(&self) -> Fp8Format {
+        self.format
+    }
+
+    /// Encodes like [`Fp8Format::encode`], byte for byte.
+    // analyzer: hot-path
+    #[inline]
+    pub fn encode(&self, x: f32) -> u8 {
+        let bits = x.to_bits();
+        let abs = bits & 0x7fff_ffff;
+        if abs == 0 || abs > 0x7f80_0000 {
+            return 0; // ±0 and NaN
+        }
+        let biased = (abs >> 23) as i32;
+        if biased == 0 || self.reference_only {
+            return self.format.encode(x);
+        }
+        let sign = ((bits >> 24) & 0x80) as u8;
+        let a = f32::from_bits(abs);
+        if a >= self.max_value {
+            return sign | self.saturated;
+        }
+        let m_bits = u32::from(self.format.mantissa_bits());
+        let m_max = (1u32 << m_bits) - 1;
+        let e_stored = biased - 127 + self.format.bias;
+        if e_stored <= 0 {
+            let m = (a / self.min_subnormal).round() as u32;
+            if m == 0 {
+                return sign;
+            }
+            if m > m_max {
+                return sign | (1 << m_bits);
+            }
+            return sign | m as u8;
+        }
+        let shift = 23 - m_bits;
+        let mut m = ((abs & 0x7f_ffff) + (1 << (shift - 1))) >> shift;
+        let mut e = e_stored;
+        if m > m_max {
+            m = 0;
+            e += 1;
+            if e > (1 << self.format.exp_bits) - 1 {
+                return sign | self.saturated;
+            }
+        }
+        sign | ((e as u8) << m_bits) | m as u8
+    }
+
+    /// Decodes like [`Fp8Format::decode`] (a table read).
+    #[inline]
+    pub fn decode(&self, byte: u8) -> f32 {
+        self.decode[byte as usize]
+    }
+
+    /// Replaces every value with its encode-decode round trip.
+    // analyzer: hot-path
+    pub fn quantize_in_place(&self, xs: &mut [f32]) {
+        for x in xs {
+            *x = self.decode[self.encode(*x) as usize];
+        }
+    }
+}
+
 impl Default for Fp8Format {
     /// The paper's 1-4-3 format with an IEEE-like bias of 7.
     fn default() -> Self {

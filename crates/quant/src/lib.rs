@@ -11,6 +11,9 @@
 //!
 //! * [`Fp8Format`] — parametric sign/exponent/mantissa split with encode
 //!   and decode (round-to-nearest, saturating, subnormal support);
+//! * [`Fp8Codec`] — the table-driven fast path of one format, byte-for-byte
+//!   equal to [`Fp8Format::encode`], behind
+//!   [`tensor::fake_quantize_in_place`];
 //! * [`QuantizedTensor`] — a matrix quantized with a per-tensor exponent
 //!   bias, exposing its raw bytes for eNVM storage and fault injection;
 //! * [`fixed`] — 16-bit fixed-point helpers modelling the SFU datapath
@@ -21,5 +24,5 @@ pub mod fixed;
 pub mod format;
 pub mod tensor;
 
-pub use format::Fp8Format;
+pub use format::{Fp8Codec, Fp8Format};
 pub use tensor::QuantizedTensor;

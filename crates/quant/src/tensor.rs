@@ -1,8 +1,9 @@
 //! Tensor-level quantization with per-tensor (per-layer) exponent bias.
 
-use crate::format::Fp8Format;
+use crate::format::{Fp8Codec, Fp8Format};
 use edgebert_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// A matrix quantized to FP8 with an AdaptivFloat per-tensor exponent
 /// bias.
@@ -54,12 +55,7 @@ impl QuantizedTensor {
     /// The AdaptivFloat bias for a tensor: aligns the top of the exponent
     /// range with the tensor's largest magnitude.
     pub fn optimal_bias(m: &Matrix, exp_bits: u8) -> i32 {
-        let max_abs = m.as_slice().iter().map(|x| x.abs()).fold(0.0f32, f32::max);
-        if max_abs == 0.0 {
-            return 7;
-        }
-        let e_top = (1i32 << exp_bits) - 1;
-        e_top - max_abs.log2().floor() as i32
+        optimal_bias_of(m.as_slice(), exp_bits)
     }
 
     /// Decodes back to a dense matrix.
@@ -99,10 +95,76 @@ impl QuantizedTensor {
     }
 }
 
+/// [`QuantizedTensor::optimal_bias`] over a flat slice.
+// analyzer: hot-path
+fn optimal_bias_of(values: &[f32], exp_bits: u8) -> i32 {
+    let max_abs = values.iter().map(|x| x.abs()).fold(0.0f32, f32::max);
+    if max_abs == 0.0 {
+        return 7;
+    }
+    let e_top = (1i32 << exp_bits) - 1;
+    e_top - max_abs.log2().floor() as i32
+}
+
+/// Codecs kept per thread: building one costs 256 decodes, and the
+/// per-tensor bias of consecutive activations rarely changes.
+const CODEC_SLOTS: usize = 4;
+
+struct CodecCache {
+    slots: [Option<Fp8Codec>; CODEC_SLOTS],
+    /// Slot the next miss overwrites (round robin).
+    next: usize,
+}
+
+thread_local! {
+    static CODECS: RefCell<CodecCache> = const {
+        RefCell::new(CodecCache {
+            slots: [None, None, None, None],
+            next: 0,
+        })
+    };
+}
+
+/// Quantize-dequantizes `values` in place with the AdaptivFloat
+/// per-tensor bias: the same bytes as [`QuantizedTensor::quantize`]
+/// followed by [`QuantizedTensor::dequantize`], without the byte
+/// buffer. The codec for the chosen format comes from a small
+/// per-thread cache, so steady-state calls do not allocate.
+///
+/// # Panics
+///
+/// Panics unless `1 <= exp_bits <= 6`.
+// analyzer: hot-path
+pub fn fake_quantize_in_place(values: &mut [f32], exp_bits: u8) {
+    let format = Fp8Format::new(exp_bits, optimal_bias_of(values, exp_bits));
+    CODECS.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        let hit = cache
+            .slots
+            .iter()
+            .position(|slot| slot.as_ref().is_some_and(|c| c.format() == format));
+        let slot = match hit {
+            Some(slot) => slot,
+            None => {
+                let slot = cache.next;
+                cache.slots[slot] = Some(Fp8Codec::new(format));
+                cache.next = (slot + 1) % CODEC_SLOTS;
+                slot
+            }
+        };
+        if let Some(codec) = &cache.slots[slot] {
+            codec.quantize_in_place(values);
+        }
+    });
+}
+
 /// Quantize-dequantizes a matrix in one step (the evaluation-time
-/// transform applied to all weights and activations in Fig. 4).
+/// transform applied to all weights and activations in Fig. 4); a
+/// copying wrapper over [`fake_quantize_in_place`].
 pub fn fake_quantize(m: &Matrix, exp_bits: u8) -> Matrix {
-    QuantizedTensor::quantize(m, exp_bits).dequantize()
+    let mut out = m.clone();
+    fake_quantize_in_place(out.as_mut_slice(), exp_bits);
+    out
 }
 
 #[cfg(test)]

@@ -224,6 +224,23 @@ impl Matrix {
 
     /// Fallible matrix product.
     ///
+    /// # Arithmetic contract
+    ///
+    /// This loop is the reference the fused inference kernels
+    /// (`edgebert_nn`'s `infer_rows`) must reproduce bit for bit. Each
+    /// output element:
+    ///
+    /// - starts at `0.0`;
+    /// - accumulates `out += a[i][k] * b[k][j]` in ascending `k`, one
+    ///   rounded multiply then one rounded add (no fused multiply-add);
+    /// - skips every `k` whose **left** operand `a[i][k]` is zero
+    ///   (`== 0.0`, so `-0.0` too). The skip is part of the result: it
+    ///   drops `0 * inf = NaN` terms.
+    ///
+    /// A kernel may block, tile or vectorize across `i` and `j` freely,
+    /// but never reorder or split an element's `k` sum. A bias is added
+    /// after the sum, never folded into its start.
+    ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] when `self.cols() != rhs.rows()`.
@@ -257,6 +274,15 @@ impl Matrix {
     ///
     /// Shape `(m, k) x (n, k) -> (m, n)`. Avoids materialising the
     /// transpose, which matters for attention score computation.
+    ///
+    /// # Arithmetic contract
+    ///
+    /// Each output element starts at `0.0` and accumulates
+    /// `acc += a[i][k] * b[j][k]` in ascending `k` with a separate
+    /// multiply and add (no FMA). Unlike [`Matrix::checked_matmul`] it
+    /// has **no** zero skip: every term is added. The attention kernel
+    /// that computes scores from a per-head transposed K must keep both
+    /// properties.
     ///
     /// # Panics
     ///
